@@ -10,8 +10,9 @@ reporting retry/corruption counters and degraded-answer rates
 *persistent* dead-page fractions (kill-list faults that never
 recover) and reports availability, storage-degraded rates, quarantine
 activity and engine health — the degraded-mode execution contract.  The ``kernels`` mode compares the
-dict reference kernels against the flat CSR kernels (micro +
-end-to-end) and the ``landmarks`` mode runs the fig10 k-sweep with
+dict reference kernels against the flat CSR and frontier kernels
+(micro) and the default data path against reference mode
+(end-to-end), and the ``landmarks`` mode runs the fig10 k-sweep with
 ALT landmark pruning on vs off; the ``shard`` mode asserts the tiled
 :class:`~repro.shard.ShardedEngine` answers identically to the
 monolithic engine, times parallel-vs-serial tile warm-up and runs a

@@ -871,18 +871,17 @@ class DistanceRanker:
                     corridor = self.msdn.corridor_from_path(
                         cand.lb_path_keys, cand.lb_path_resolution
                     )
-                    dummy = self.msdn.lower_bound(
-                        q_pos,
-                        cand.position,
-                        res_l,
-                        roi=roi_arg,
-                        corridor=corridor,
-                        charge_io=False,
-                    )
                     # Even the optimistic corridor bound cannot reach
                     # the rejection threshold: the true lb (which is
                     # smaller) cannot either, so skip the full pass.
-                    if dummy.value < kth_ub_estimate:
+                    if self.msdn.lower_bound_below(
+                        q_pos,
+                        cand.position,
+                        res_l,
+                        kth_ub_estimate,
+                        roi=roi_arg,
+                        corridor=corridor,
+                    ):
                         continue
                 pending.append((cand, roi))
             results = self._lower_bounds_batch(q_pos, pending, res_l)

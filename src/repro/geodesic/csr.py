@@ -29,12 +29,15 @@ Three search shapes cover every caller:
   Dijkstra on tie-heavy meshes, so it is only wired where the path is
   not consumed.
 
-Kernel selection is a process-wide mode switch: ``"csr"`` (default),
-``"reference"`` (the dict kernels, kept as ``dijkstra_reference``) or
-``"frontier"`` (the numpy frontier-batched kernels in
-:mod:`repro.geodesic.frontier`).  :func:`use_kernel_mode` flips it
-for a ``with`` block — the differential tests and ``bench kernels``
-run the same queries under every mode and assert identical answers.
+Kernel selection is a process-wide mode switch with two values:
+``"frontier"`` (the default production path — the numpy
+frontier-batched kernels in :mod:`repro.geodesic.frontier`, which
+fall back to the heap kernels here on small or zero-weight graphs)
+and ``"reference"`` (the dict kernels, kept as
+``dijkstra_reference``, the test oracle).  :func:`use_kernel_mode`
+flips it for a ``with`` block — the differential tests and
+``bench kernels`` run the same queries under both modes and assert
+identical answers.
 """
 
 from __future__ import annotations
@@ -60,13 +63,13 @@ from repro.obs.profile import kernel_phase
 # kernel mode
 # ----------------------------------------------------------------------
 
-_MODES = ("csr", "reference", "frontier")
-_kernel_mode = "csr"
+_MODES = ("frontier", "reference")
+_kernel_mode = "frontier"
 
 
 def kernel_mode() -> str:
-    """The process-wide kernel selection: ``"csr"``, ``"reference"``
-    or ``"frontier"``."""
+    """The process-wide kernel selection: ``"frontier"`` (the
+    default) or ``"reference"``."""
     return _kernel_mode
 
 
@@ -213,9 +216,11 @@ class CSRGraph:
         array-first graphs)."""
         if self._indptr_list is None:
             indptr, indices, weights = self._arrays
-            self._indptr_list = indptr.tolist()
             self._indices_list = indices.tolist()
             self._weights_list = weights.tolist()
+            # Published last: a concurrent reader that sees it set
+            # (batch workers sharing a cached graph) sees all three.
+            self._indptr_list = indptr.tolist()
         return self._indptr_list, self._indices_list, self._weights_list
 
     def heuristic_to(self, target: int) -> list[float]:
@@ -565,22 +570,19 @@ def astar_csr(
 def graph_dijkstra(graph, source, targets=None, max_dist=None) -> dict[int, float]:
     """Mode dispatcher with the compile-on-reuse rule.
 
-    In CSR and frontier modes the flat kernels run only when the graph
-    already carries a compiled CSR form (a cached network view, or a
-    graph an explicit ``csr()`` caller compiled): all kernels return
-    identical answers, but compile-then-search loses to the dict
-    kernel on a graph searched once, and pathnet refinement builds
-    lots of throwaway graphs.  Reference mode always takes the dict
-    kernel.
+    The frontier kernels run only when the graph already carries a
+    compiled CSR form (a cached network view, an array-built pathnet,
+    or a graph an explicit ``csr()`` caller compiled): all kernels
+    return identical answers, but compile-then-search loses to the
+    dict kernel on a graph searched once.  Reference mode always
+    takes the dict kernel.
     """
     if _kernel_mode != "reference":
         csr = graph.csr_if_compiled()
         if csr is not None:
-            if _kernel_mode == "frontier":
-                from repro.geodesic.frontier import dijkstra_frontier
+            from repro.geodesic.frontier import dijkstra_frontier
 
-                return dijkstra_frontier(csr, source, targets, max_dist)
-            return dijkstra_csr(csr, source, targets, max_dist)
+            return dijkstra_frontier(csr, source, targets, max_dist)
     from repro.geodesic.dijkstra import dijkstra_reference
 
     return dijkstra_reference(graph.adjacency, source, targets, max_dist)
@@ -594,11 +596,9 @@ def graph_dijkstra_with_parents(
     if _kernel_mode != "reference":
         csr = graph.csr_if_compiled()
         if csr is not None:
-            if _kernel_mode == "frontier":
-                from repro.geodesic.frontier import dijkstra_frontier_with_parents
+            from repro.geodesic.frontier import dijkstra_frontier_with_parents
 
-                return dijkstra_frontier_with_parents(csr, source, targets, max_dist)
-            return dijkstra_csr_with_parents(csr, source, targets, max_dist)
+            return dijkstra_frontier_with_parents(csr, source, targets, max_dist)
     from repro.geodesic.dijkstra import dijkstra_with_parents
 
     return dijkstra_with_parents(graph.adjacency, source, targets, max_dist)

@@ -27,7 +27,7 @@ cutoffs.  Ties resolve by emulating the reference heap tuples —
 lexicographic minima over the batched candidate columns, and values
 compose with the same float operations (``raw + w`` then
 ``offset + raw``), so the testkit differential matrix stays the
-identity oracle across all three kernel modes.  The reference's
+identity oracle across both kernel modes.  The reference's
 early-exit settled set is a prefix of the ``(value, node)``-sorted
 pop order; the kernels compute buckets until every target settles,
 then cut the output at the last target's ``(value, node)`` pair.

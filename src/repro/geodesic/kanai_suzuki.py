@@ -24,14 +24,15 @@ from repro.geodesic.csr import graph_dijkstra_with_parents, kernel_mode
 def _round0_pathnet(mesh):
     """The bare edge network (pathnet with 0 Steiner points).
 
-    In frontier mode the graph is cached on the mesh: round 0 spans
-    the WHOLE mesh and is identical for every (source, target) pair,
-    and the polish loop calls this once per boundary candidate.  The
-    graph is never mutated after construction (searches only), so the
-    cache is safe; heap modes keep the per-call rebuild so their
-    compile-on-reuse behaviour stays exactly as measured.
+    The graph is cached on the mesh: round 0 spans the WHOLE mesh and
+    is identical for every (source, target) pair, and the polish loop
+    calls this once per boundary candidate.  The graph is never
+    mutated after construction (searches only), so the cache is safe
+    to share between query threads — at worst two threads build it
+    twice.  Reference mode keeps the per-call rebuild so the oracle
+    never searches a graph the array builder made.
     """
-    if kernel_mode() != "frontier":
+    if kernel_mode() == "reference":
         return build_pathnet(mesh, steiner_per_edge=0)
     cached = getattr(mesh, "_round0_pathnet", None)
     if cached is None:
@@ -65,7 +66,7 @@ def _corridor_faces(mesh, node_keys, rings: int = 1) -> np.ndarray:
 
 def _route(graph, source_key, target_key) -> tuple[float, list[tuple]]:
     # The route's keys seed the next round's refined corridor, so this
-    # stays on (CSR) Dijkstra rather than A*: both kernels realise the
+    # stays on Dijkstra rather than A*: every Dijkstra kernel realises the
     # same tie-broken shortest-path tree as the dict reference.
     s = graph.node_id(source_key)
     t = graph.node_id(target_key)

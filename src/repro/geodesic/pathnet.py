@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.errors import GeodesicError
 from repro.geodesic.csr import (
-    astar_csr,
     graph_dijkstra,
     graph_dijkstra_with_parents,
     kernel_mode,
@@ -71,7 +70,7 @@ def build_pathnet(
     """
     if steiner_per_edge < 0:
         raise GeodesicError("steiner_per_edge must be >= 0")
-    if kernel_mode() == "frontier":
+    if kernel_mode() != "reference":
         graph = _build_pathnet_frontier(
             mesh, steiner_per_edge, faces, forbidden_faces
         )
@@ -112,7 +111,7 @@ def _segment_length(pa, pb) -> float:
 
 
 def _build_pathnet_frontier(mesh, steiner_per_edge, faces, forbidden_faces):
-    """Array-built pathnet for frontier mode (None on degenerate
+    """Array-built pathnet, the default path (None on degenerate
     meshes, where the Python builder takes over)."""
     from repro.geodesic.frontier import build_pathnet_arrays
 
@@ -141,7 +140,7 @@ def pathnet_distance(
     landmarks=None,
 ) -> float:
     """Approximate ``dS`` between two vertices via pathnet search —
-    A* with the straight-line heuristic on the CSR kernels (the
+    A* with the straight-line heuristic on the frontier kernels (the
     distance is all that is returned, so the goal-directed search is
     safe), plain Dijkstra in reference mode.
 
@@ -158,21 +157,17 @@ def pathnet_distance(
         raise GeodesicError("source or target vertex missing from pathnet region")
     s = graph.node_id(src_key)
     t = graph.node_id(dst_key)
-    mode = kernel_mode()
-    if mode == "reference":
+    if kernel_mode() == "reference":
         d = graph_dijkstra(graph, s, targets={t}).get(t)
     else:
+        from repro.geodesic.frontier import astar_frontier
+
         heuristic = (
             landmarks.pathnet_heuristic(graph, target)
             if landmarks is not None
             else None
         )
-        if mode == "frontier":
-            from repro.geodesic.frontier import astar_frontier
-
-            d = astar_frontier(graph.csr(), s, t, heuristic=heuristic)
-        else:
-            d = astar_csr(graph.csr(), s, t, heuristic=heuristic)
+        d = astar_frontier(graph.csr(), s, t, heuristic=heuristic)
     if d is None:
         raise GeodesicError(f"no pathnet route from {source} to {target}")
     return d

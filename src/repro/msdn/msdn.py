@@ -20,6 +20,9 @@ Responsibilities:
 
 from __future__ import annotations
 
+import threading
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,10 +36,12 @@ from repro.msdn.crossing import (
     supersample_polyline,
 )
 from repro.geodesic.csr import kernel_mode
+from repro.obs.metrics import get_registry
 from repro.msdn.sdn import (
     SdnChunk,
     _boxes_to_boxes,
     build_sdn_chunks,
+    greedy_chain_length,
     lower_bound_via_planes,
     lower_bound_via_planes_arrays,
 )
@@ -45,6 +50,12 @@ from repro.storage.pages import PageManager
 from repro.storage.stats import PAGE_CLASS_MSDN
 
 DEFAULT_RESOLUTIONS = (0.25, 0.375, 0.5, 0.75, 1.0)
+
+#: Byte budget of each MSDN's hop cache.  Only unmasked plane pairs
+#: are cached, and few distinct ones recur (13 pairs, 1.6 MiB over two
+#: passes of a 33x33 rugged k-sweep), so the budget bounds a worst
+#: case rather than sizing the common one.
+HOP_CACHE_BYTES = 16 * 2**20
 
 
 @dataclass
@@ -77,6 +88,73 @@ def _box_mask(xy: np.ndarray, boxes) -> np.ndarray:
             & (xy[:, 3] >= box.lo[1])
         )
     return mask
+
+
+#: Every live hop cache, for the process-wide byte gauge.
+_live_hop_caches: "weakref.WeakSet[_HopCache]" = weakref.WeakSet()
+_live_hop_caches_lock = threading.Lock()
+
+
+def hop_cache_bytes() -> int:
+    """Bytes held by all live MSDN hop caches in this process — the
+    value the ``msdn.hop_cache.bytes`` gauge publishes."""
+    with _live_hop_caches_lock:
+        return sum(cache.nbytes for cache in list(_live_hop_caches))
+
+
+def _publish_hop_cache_bytes(registry) -> None:
+    # Summing and setting under one lock makes the last write the
+    # freshest total when several caches insert at once.
+    with _live_hop_caches_lock:
+        total = sum(cache.nbytes for cache in list(_live_hop_caches))
+        registry.gauge("msdn.hop_cache.bytes").set(total)
+
+
+class _HopCache:
+    """LRU map of full plane-pair hop matrices under
+    :data:`HOP_CACHE_BYTES`, shared by batch workers.
+
+    Lookups and insertions hold the lock; a miss builds its matrix
+    outside it, so two threads missing on one key at worst both
+    build it (the matrices are equal, the second insert is dropped).
+    Counts ``msdn.hop_cache.{hits,misses,evictions}``; after every
+    insertion the ``msdn.hop_cache.bytes`` gauge is set to
+    :func:`hop_cache_bytes`, the total over all MSDNs (sharded
+    engines and escalation windows each hold one).
+    """
+
+    def __init__(self):
+        self._entries: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+        self.nbytes = 0
+        with _live_hop_caches_lock:
+            _live_hop_caches.add(self)
+
+    def get_or_build(self, key, build) -> np.ndarray:
+        registry = get_registry()
+        with self._lock:
+            hop = self._entries.get(key)
+            if hop is not None:
+                self._entries.move_to_end(key)
+        if hop is not None:
+            registry.counter("msdn.hop_cache.hits").add(1)
+            return hop
+        registry.counter("msdn.hop_cache.misses").add(1)
+        hop = build()
+        evictions = 0
+        with self._lock:
+            budget = HOP_CACHE_BYTES
+            if key not in self._entries and hop.nbytes <= budget:
+                self._entries[key] = hop
+                self.nbytes += hop.nbytes
+                while self.nbytes > budget:
+                    _key, old = self._entries.popitem(last=False)
+                    self.nbytes -= old.nbytes
+                    evictions += 1
+        if evictions:
+            registry.counter("msdn.hop_cache.evictions").add(evictions)
+        _publish_hop_cache_bytes(registry)
+        return hop
 
 
 class MSDN:
@@ -157,16 +235,16 @@ class MSDN:
                 ]
         self._store: LocatorStore | None = None
         # Lazy caches: per-(axis, resolution) 3D chunk-MBR arrays for
-        # the frontier-mode array DP, the per-resolution key → chunk
-        # index for corridor_from_path, per-plane page-id arrays for
-        # vectorized I/O charging, and full plane-pair hop matrices
-        # for the DP (entries are per-(row, col) independent, so a
-        # sliced cached matrix is bit-identical to one computed on
-        # the kept subsets).
+        # the array DP, the per-resolution key → chunk index for
+        # corridor_from_path, per-plane page-id arrays for vectorized
+        # I/O charging, and the bounded cache of unmasked plane-pair
+        # hop matrices.  The dicts are filled by whole-value
+        # assignment, so concurrent query threads at worst fill an
+        # entry twice; the hop cache takes its own lock.
         self._chunk_boxes3d: dict[tuple[int, float], list] = {}
         self._corridor_index: dict[float, dict[tuple, SdnChunk]] = {}
         self._chunk_pages: dict[tuple[int, float], list[np.ndarray]] = {}
-        self._hop_cache: dict[tuple[int, float, int, int], np.ndarray] = {}
+        self._hop_cache = _HopCache()
 
     # ------------------------------------------------------------------
     # storage
@@ -196,9 +274,9 @@ class MSDN:
     def _plane_pages(self, axis: int, resolution: float) -> list[np.ndarray]:
         """Per-plane arrays of the page id backing each chunk, aligned
         with ``self._chunks[(axis, resolution)]`` rows — resolves the
-        record-id → page mapping once so the frontier-mode hot path
-        charges I/O by page array instead of rebuilding record-id
-        tuples per call."""
+        record-id → page mapping once so the array path charges I/O
+        by page array instead of rebuilding record-id tuples per
+        call."""
         key = (axis, resolution)
         cached = self._chunk_pages.get(key)
         if cached is None:
@@ -264,7 +342,7 @@ class MSDN:
         ``charge_io=False``)."""
         resolution = self.nearest_resolution(resolution)
         roi = _roi_list(roi)
-        if kernel_mode() == "frontier" and self._store is not None:
+        if kernel_mode() != "reference" and self._store is not None:
             # Page-array fast path: same distinct pages read per
             # plane, in the same ascending order, without building
             # per-chunk record-id tuples.
@@ -366,9 +444,51 @@ class MSDN:
             for point_b, roi in zip(targets, rois)
         ]
 
+    def lower_bound_below(
+        self,
+        point_a,
+        point_b,
+        resolution: float,
+        threshold: float,
+        roi=None,
+        corridor=None,
+    ) -> bool:
+        """Whether ``lower_bound(point_a, point_b, resolution, roi=roi,
+        corridor=corridor).value < threshold`` — the ranking loop's
+        dummy-lower-bound test, which needs only the comparison.
+
+        On the array path a greedy chain
+        (:func:`repro.msdn.sdn.greedy_chain_length`, never below the
+        DP value) decides the common case, a bound well under the
+        threshold, with one hop row per plane; only when the chain
+        does not reach below the threshold does the full DP run.
+        """
+        pa = np.asarray(point_a, dtype=float)
+        pb = np.asarray(point_b, dtype=float)
+        resolution = self.nearest_resolution(resolution)
+        roi = _roi_list(roi)
+        corridor = _roi_list(corridor)
+        if kernel_mode() == "reference":
+            result = self._lower_bound_at(pa, pb, resolution, roi, corridor, False)
+            return result.value < threshold
+        axis, pa, pb, layers = self._oriented_layers(pa, pb, resolution)
+        kept_layers, plane_indices, layer_boxes, _used = self._kept_layers(
+            axis, resolution, layers, roi, corridor
+        )
+        if greedy_chain_length(pa, pb, layer_boxes) < threshold:
+            return True
+        hops = self._hops_for(
+            axis, resolution, plane_indices,
+            [idx for _layer, idx in kept_layers], layer_boxes,
+        )
+        value, _picks = lower_bound_via_planes_arrays(
+            pa, pb, layer_boxes, hops=hops
+        )
+        return value < threshold
+
     def _boxes3d(self, axis: int, resolution: float) -> list:
         """Cached per-plane 3D chunk-MBR ``(lo, hi)`` row arrays —
-        the frontier-mode DP input, built once per (axis, resolution)
+        the array DP input, built once per (axis, resolution)
         instead of rebuilt from chunk objects on every estimation."""
         key = (axis, resolution)
         cached = self._chunk_boxes3d.get(key)
@@ -383,18 +503,23 @@ class MSDN:
             self._chunk_boxes3d[key] = cached
         return cached
 
-    def _lower_bound_at(
-        self, pa, pb, resolution: float, roi, corridor_boxes, charge_io: bool
-    ) -> LowerBoundResult:
-        """Shared implementation: arguments already normalized."""
+    def _oriented_layers(self, pa, pb, resolution: float):
+        """``(axis, pa, pb, layers)``: the separating plane family, the
+        endpoints ordered along it, and the planes between them."""
         axis = self.choose_axis(pa, pb)
         lo = min(pa[axis], pb[axis])
         hi = max(pa[axis], pb[axis])
         if pa[axis] > pb[axis]:
             pa, pb = pb, pa
         stride = self.plane_stride(resolution)
-        layers = self._layers_between(axis, resolution, lo, hi, stride)
-        if kernel_mode() == "frontier":
+        return axis, pa, pb, self._layers_between(axis, resolution, lo, hi, stride)
+
+    def _lower_bound_at(
+        self, pa, pb, resolution: float, roi, corridor_boxes, charge_io: bool
+    ) -> LowerBoundResult:
+        """Shared implementation: arguments already normalized."""
+        axis, pa, pb, layers = self._oriented_layers(pa, pb, resolution)
+        if kernel_mode() != "reference":
             return self._lower_bound_arrays(
                 pa, pb, axis, resolution, layers, roi, corridor_boxes, charge_io
             )
@@ -426,50 +551,32 @@ class MSDN:
         )
 
     def _hops_for(
-        self, axis, resolution, plane_indices, keep_idxs
-    ) -> list[np.ndarray] | None:
-        """Consecutive-layer hop matrices sliced from the per-plane-
-        pair cache (full-plane matrices computed once, reused by every
-        estimation that crosses the same pair)."""
-        if len(plane_indices) < 2:
-            return None
-        boxes3d = self._boxes3d(axis, resolution)
+        self, axis, resolution, plane_indices, keep_idxs, layer_boxes
+    ) -> list[np.ndarray]:
+        """Consecutive-layer hop matrices.  A pair of unmasked planes
+        comes from the bounded hop cache (the same full pairs recur
+        across estimations); a pair with a masked side is computed on
+        its kept rows and columns only.  Each hop entry depends only
+        on its own two boxes, so both are bit-identical to slicing a
+        full-plane matrix."""
         hops: list[np.ndarray] = []
-        for (pi, ki), (pj, kj) in zip(
-            zip(plane_indices, keep_idxs),
-            zip(plane_indices[1:], keep_idxs[1:]),
-        ):
-            key = (axis, resolution, pi, pj)
-            full = self._hop_cache.get(key)
-            if full is None:
-                lo_u, hi_u = boxes3d[pi]
-                lo_l, hi_l = boxes3d[pj]
-                full = _boxes_to_boxes(lo_u, hi_u, lo_l, hi_l)
-                self._hop_cache[key] = full
-            if ki is None and kj is None:
-                hop = full
-            elif ki is None:
-                hop = full[:, kj]
-            elif kj is None:
-                hop = full[ki, :]
+        for i in range(len(plane_indices) - 1):
+            upper, lower = layer_boxes[i], layer_boxes[i + 1]
+            if keep_idxs[i] is None and keep_idxs[i + 1] is None:
+                hop = self._hop_cache.get_or_build(
+                    (axis, resolution, plane_indices[i], plane_indices[i + 1]),
+                    lambda: _boxes_to_boxes(*upper, *lower),
+                )
             else:
-                hop = full[np.ix_(ki, kj)]
+                hop = _boxes_to_boxes(*upper, *lower)
             hops.append(hop)
         return hops
 
-    def _lower_bound_arrays(
-        self, pa, pb, axis, resolution, layers, roi, corridor_boxes, charge_io
-    ) -> LowerBoundResult:
-        """Frontier-mode estimation over the cached 3D box arrays —
-        index-filtered slices instead of per-call object walks; the
-        DP is bit-identical to :func:`lower_bound_via_planes`."""
+    def _kept_layers(self, axis, resolution, layers, roi, corridor_boxes):
+        """The array DP's input: per non-empty plane its ``(chunks,
+        kept row indices or None)``, plane index and kept 3D box
+        arrays, plus the total kept chunk count."""
         boxes3d = self._boxes3d(axis, resolution)
-        per_plane = self._chunks[(axis, resolution)]
-        pages = (
-            self._plane_pages(axis, resolution)
-            if charge_io and self._store is not None
-            else None
-        )
         kept_layers: list = []  # (chunk_list, kept_row_indices)
         plane_indices: list[int] = []
         layer_boxes: list[tuple[np.ndarray, np.ndarray]] = []
@@ -501,22 +608,27 @@ class MSDN:
             plane_indices.append(plane_index)
             layer_boxes.append((kept_lo, kept_hi))
             used += count
-            if charge_io:
-                if pages is not None:
-                    page_arr = pages[plane_index]
-                    self._store.touch_pages(
-                        page_arr if keep_idx is None else page_arr[keep_idx]
-                    )
-                else:
-                    chunks = (
-                        layer
-                        if keep_idx is None
-                        else [layer[j] for j in keep_idx]
-                    )
-                    self._touch(chunks, resolution)
+        return kept_layers, plane_indices, layer_boxes, used
+
+    def _lower_bound_arrays(
+        self, pa, pb, axis, resolution, layers, roi, corridor_boxes, charge_io
+    ) -> LowerBoundResult:
+        """Estimation over the cached 3D box arrays (the default path)
+        — index-filtered slices instead of per-call object walks; the
+        DP is bit-identical to :func:`lower_bound_via_planes`."""
+        kept_layers, plane_indices, layer_boxes, used = self._kept_layers(
+            axis, resolution, layers, roi, corridor_boxes
+        )
+        if charge_io and self._store is not None:
+            pages = self._plane_pages(axis, resolution)
+            for (_layer, keep_idx), plane_index in zip(kept_layers, plane_indices):
+                page_arr = pages[plane_index]
+                self._store.touch_pages(
+                    page_arr if keep_idx is None else page_arr[keep_idx]
+                )
         hops = self._hops_for(
             axis, resolution, plane_indices,
-            [idx for _layer, idx in kept_layers],
+            [idx for _layer, idx in kept_layers], layer_boxes,
         )
         value, picks = lower_bound_via_planes_arrays(
             pa, pb, layer_boxes, hops=hops

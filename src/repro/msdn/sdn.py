@@ -117,10 +117,23 @@ def _point_to_boxes(p: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
 def _boxes_to_boxes(
     lo1: np.ndarray, hi1: np.ndarray, lo2: np.ndarray, hi2: np.ndarray
 ) -> np.ndarray:
-    """(m1, m2) matrix of min distances between two box families."""
-    gap = np.maximum(lo2[np.newaxis, :, :] - hi1[:, np.newaxis, :], 0.0)
-    gap = np.maximum(gap, lo1[:, np.newaxis, :] - hi2[np.newaxis, :, :])
-    return np.sqrt(np.sum(gap * gap, axis=2))
+    """(m1, m2) matrix of min distances between two box families.
+
+    The squared per-axis gaps accumulate as ``(gx² + gy²) + gz²`` in
+    three ``(m1, m2)`` arrays — the order ``np.sum(gap * gap,
+    axis=2)`` adds a length-3 axis in, so the result is bit-identical
+    to the broadcast form without its ``(m1, m2, 3)`` temporaries.
+    """
+    total = None
+    for d in range(lo1.shape[1]):
+        gap = np.maximum(lo2[np.newaxis, :, d] - hi1[:, np.newaxis, d], 0.0)
+        np.maximum(gap, lo1[:, np.newaxis, d] - hi2[np.newaxis, :, d], out=gap)
+        gap *= gap
+        if total is None:
+            total = gap
+        else:
+            total += gap
+    return np.sqrt(total, out=total)
 
 
 def lower_bound_via_planes(
@@ -180,6 +193,41 @@ def lower_bound_via_planes(
     return max(bound, euclid), path_keys
 
 
+def greedy_chain_length(
+    point_a,
+    point_b,
+    layer_boxes: list[tuple[np.ndarray, np.ndarray]],
+) -> float:
+    """Length of one monotone chain through ``layer_boxes``, clamped
+    below by the straight-line distance like the DP — never less than
+    the value of :func:`lower_bound_via_planes_arrays` on the same
+    input.
+
+    The DP value is the minimum over all chains, each summed layer by
+    layer; this sums one chain with the same float operations in the
+    same order, and rounding is monotone, so the DP's minimum cannot
+    exceed it.  At each layer the chain takes the box minimising its
+    length so far plus that box's distance to ``b``, which costs one
+    hop row per layer instead of the DP's full hop matrix.
+    """
+    pa = np.asarray(point_a, dtype=float)
+    pb = np.asarray(point_b, dtype=float)
+    euclid = float(np.linalg.norm(pa - pb))
+    if not layer_boxes:
+        return euclid
+    to_b = [_point_to_boxes(pb, lo, hi) for lo, hi in layer_boxes]
+    length = _point_to_boxes(pa, *layer_boxes[0])
+    pick = int(np.argmin(length + to_b[0]))
+    for (lo_u, hi_u), (lo_l, hi_l), ahead in zip(
+        layer_boxes, layer_boxes[1:], to_b[1:]
+    ):
+        row = slice(pick, pick + 1)
+        hop = _boxes_to_boxes(lo_u[row], hi_u[row], lo_l, hi_l)[0]
+        length = length[pick] + hop
+        pick = int(np.argmin(length + ahead))
+    return max(float(length[pick] + to_b[-1][pick]), euclid)
+
+
 def lower_bound_via_planes_arrays(
     point_a,
     point_b,
@@ -190,16 +238,16 @@ def lower_bound_via_planes_arrays(
 
     ``layer_boxes`` holds each selected plane's chunk MBRs as
     ``(lo, hi)`` row arrays — pre-sliced from cached per-plane arrays
-    instead of rebuilt from chunk objects per call (the frontier-mode
-    hot path).  The min-plus dynamic program runs the exact float
+    instead of rebuilt from chunk objects per call (the default
+    path).  The min-plus dynamic program runs the exact float
     operations of the object-input twin, so the bound is
     bit-identical; the backtrack returns one *row index per layer*
     (into the given arrays) for the caller to map back to chunk keys.
 
     ``hops`` (optional) supplies the consecutive-layer min-distance
-    matrices, one per layer pair, typically sliced from a per-plane-
-    pair cache.  Each hop entry depends only on its own row/col boxes,
-    so a sliced cached matrix is bit-identical to one computed on the
+    matrices, one per layer pair, typically from a per-plane-pair
+    cache.  Each hop entry depends only on its own row/col boxes, so
+    a sliced cached matrix is bit-identical to one computed on the
     kept subsets.
     """
     pa = np.asarray(point_a, dtype=float)

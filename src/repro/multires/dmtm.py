@@ -24,11 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import MultiresError
-from repro.geodesic.csr import (
-    graph_dijkstra_with_parents,
-    kernel_mode,
-    multi_source_dijkstra_csr,
-)
+from repro.geodesic.csr import graph_dijkstra_with_parents, kernel_mode
 from repro.geodesic.graph import KeyedGraph
 from repro.geodesic.pathnet import build_pathnet, vertex_key
 from repro.geometry.primitives import BoundingBox
@@ -98,8 +94,8 @@ class DMTM:
         self.steiner_per_edge = steiner_per_edge
         self._node_store: LocatorStore | None = None
         self._face_store: LocatorStore | None = None
-        # Frontier-mode I/O fast path: record-id → page resolved once
-        # per store (same pages read, same order, no per-call tuples).
+        # Array I/O path: record-id → page resolved once per store
+        # (same pages read, same order, no per-call tuples).
         self._node_pages: np.ndarray | None = None
         self._face_pages: np.ndarray | None = None
 
@@ -200,7 +196,7 @@ class DMTM:
         store = self._node_store
         if store is None:
             return
-        if kernel_mode() == "frontier":
+        if kernel_mode() != "reference":
             if self._node_pages is None:
                 self._node_pages = np.array(
                     [
@@ -219,7 +215,7 @@ class DMTM:
         store = self._face_store
         if store is None:
             return
-        if kernel_mode() == "frontier":
+        if kernel_mode() != "reference":
             if self._face_pages is None:
                 self._face_pages = np.array(
                     [store.page_of(fi) for fi in range(self.mesh.num_faces)],
@@ -269,7 +265,7 @@ class DMTM:
     def _extract_cut(self, resolution: float, roi, charge_io: bool) -> NetworkView:
         step = self.ddm.step_for_fraction(resolution)
         cut_ids = self.ddm.cut_node_ids(step, roi)
-        if kernel_mode() == "frontier" and cut_ids.size:
+        if kernel_mode() != "reference" and cut_ids.size:
             return self._extract_cut_arrays(resolution, step, cut_ids, charge_io)
         cut = [int(n) for n in cut_ids]
         if charge_io:
@@ -288,11 +284,11 @@ class DMTM:
     def _extract_cut_arrays(
         self, resolution: float, step: int, cut_ids: np.ndarray, charge_io: bool
     ) -> NetworkView:
-        """Frontier-mode cut extraction: the cut's recorded edges are
-        selected and compiled to CSR with array operations instead of
-        per-edge ``add_edge`` calls.  The node set, edge set and edge
-        weights are exactly those of the object path (same
-        first-occurrence dedupe — see DDM.cut_edge_arrays), so
+        """Array cut extraction (the default path): the cut's recorded
+        edges are selected and compiled to CSR with array operations
+        instead of per-edge ``add_edge`` calls.  The node set, edge
+        set and edge weights are exactly those of the object path
+        (same first-occurrence dedupe — see DDM.cut_edge_arrays), so
         searches over either build return the same distances."""
         from repro.geodesic.csr import CSRGraph
 
@@ -508,7 +504,7 @@ class DMTM:
         unreachable targets — the contract of
         ``DistanceRanker._combined_ubs``.
 
-        At the pathnet level with the CSR kernels this settles every
+        At the pathnet level outside reference mode this settles every
         anchor and every candidate in ONE multi-source search instead
         of one Dijkstra per anchor; the multi-source priority is
         recomposed as ``offset + raw`` per relaxation, which is the
@@ -516,7 +512,7 @@ class DMTM:
         values (and tie-broken paths) are unchanged.  Cut levels keep
         the per-anchor composition ``offset_a + (off_s + off_t + d)``
         whose float rounding a folded search could not reproduce, so
-        they run one (CSR) multi-target search per anchor.
+        they run one multi-target search per anchor.
         """
         if kernel_mode() != "reference" and network.resolution > 1.0:
             return self._upper_bounds_multi_pathnet(
@@ -552,16 +548,11 @@ class DMTM:
             for v in target_vertices
             if vertex_key(v) in graph
         }
-        if kernel_mode() == "frontier":
-            from repro.geodesic.frontier import multi_source_frontier
+        from repro.geodesic.frontier import multi_source_frontier
 
-            found = multi_source_frontier(
-                network.csr(), sources, targets=set(target_ids)
-            )
-        else:
-            found = multi_source_dijkstra_csr(
-                network.csr(), sources, targets=set(target_ids)
-            )
+        found = multi_source_frontier(
+            network.csr(), sources, targets=set(target_ids)
+        )
         best: dict[int, tuple[float, list]] = {}
         for v in target_vertices:
             key_v = vertex_key(v)

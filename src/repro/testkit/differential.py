@@ -7,10 +7,10 @@ pair's identity (or bound) is asserted:
 ==================  =================================================
 pair                contract
 ==================  =================================================
-CSR vs reference    bit-identical results, intervals and logical
-kernels             page reads (PR 4's kernel transparency)
-frontier vs CSR     the bucketed numpy kernels carry the same
-kernels             bit-identity contract, logical reads included
+default vs          bit-identical results, intervals and logical
+reference kernels   page reads (the array data path — frontier
+                    kernels, array pathnet builder, array MSDN DP —
+                    against the dict/object oracles)
 batch w=N vs        bit-identical per-query results, intervals and
 sequential          logical reads (PR 2's bound-cache transparency)
 faulted + retry     identical answers to the clean engine; fault
@@ -32,8 +32,8 @@ clean               "storage"`` and sound intervals; quarantined
 sharded vs          identical answer sets and degraded/budget flags,
 monolithic          rewritten intervals stay sound
                     (``shard_consistency``); the sharded run itself
-                    keeps its identity across the kernel, frontier,
-                    batch and transient-fault axes (tentpole PR)
+                    keeps its identity across the kernel, batch and
+                    transient-fault axes
 ==================  =================================================
 
 Every mode's results additionally run the full invariant-oracle
@@ -58,7 +58,6 @@ from repro.core.baseline import exact_knn
 from repro.core.batch import BatchQueryExecutor
 from repro.core.budget import QueryBudget
 from repro.errors import QueryError
-from repro.geodesic import use_kernel_mode
 from repro.geodesic.csr import use_reference_kernels
 from repro.testkit.generators import (
     Scenario,
@@ -265,7 +264,7 @@ def run_scenario(
             )
 
     # ------------------------------------------------------------------
-    # baseline: sequential, CSR kernels, clean storage, unbudgeted
+    # baseline: sequential, default kernels, clean storage, unbudgeted
     # ------------------------------------------------------------------
     baseline = []
     report.modes_run.append("baseline")
@@ -277,7 +276,8 @@ def run_scenario(
         check("baseline", index, result)
 
     # ------------------------------------------------------------------
-    # CSR vs reference kernels: bit-identity on the same engine
+    # default vs reference kernels: bit-identity on the same engine,
+    # logical page reads included
     # ------------------------------------------------------------------
     if active("kernel"):
         report.modes_run.append("kernel")
@@ -288,22 +288,6 @@ def run_scenario(
                 )
                 check("kernel", index, result)
                 _compare("kernel", index, baseline[index], result,
-                         report.findings)
-
-    # ------------------------------------------------------------------
-    # frontier vs CSR kernels: bit-identity on the same engine (the
-    # bucketed numpy kernels share the CSR kernels' full contract,
-    # logical page reads included)
-    # ------------------------------------------------------------------
-    if active("frontier"):
-        report.modes_run.append("frontier")
-        with use_kernel_mode("frontier"):
-            for index, q in enumerate(queries):
-                result = mutate(
-                    engine.query(q.vertex, q.k, step_length=q.step_length)
-                )
-                check("frontier", index, result)
-                _compare("frontier", index, baseline[index], result,
                          report.findings)
 
     # ------------------------------------------------------------------
@@ -518,8 +502,8 @@ def run_scenario(
 
     # ------------------------------------------------------------------
     # sharded vs monolithic: identical answer sets and flags, sound
-    # rewritten intervals — composed with the kernel, frontier, batch
-    # and transient-fault axes (budget and kill-list legs stay
+    # rewritten intervals — composed with the kernel, batch and
+    # transient-fault axes (budget and kill-list legs stay
     # monolithic: budget accounting and dead-page schedules are
     # whole-store properties a tile split deliberately changes)
     # ------------------------------------------------------------------
@@ -542,15 +526,6 @@ def run_scenario(
                 )
                 check(
                     "shards+kernel", index, result,
-                    shard_baseline=baseline[index],
-                )
-        with use_kernel_mode("frontier"):
-            for index, q in enumerate(queries):
-                result = mutate(
-                    sharded.query(q.vertex, q.k, step_length=q.step_length)
-                )
-                check(
-                    "shards+frontier", index, result,
                     shard_baseline=baseline[index],
                 )
         executor = BatchQueryExecutor(

@@ -35,7 +35,7 @@ def _reset_shared_state():
 
     def reset():
         shared_bound_cache().clear()
-        set_kernel_mode("csr")
+        set_kernel_mode("frontier")
 
     reset()
     yield

@@ -235,17 +235,22 @@ class TestDifferentialAStar:
 
 
 class TestKernelMode:
-    def test_default_is_csr(self):
-        assert kernel_mode() == "csr"
+    def test_default_is_frontier(self):
+        assert kernel_mode() == "frontier"
 
     def test_context_manager_restores(self):
         with use_reference_kernels():
             assert kernel_mode() == "reference"
-        assert kernel_mode() == "csr"
+        assert kernel_mode() == "frontier"
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(GeodesicError, match="unknown kernel mode"):
             set_kernel_mode("simd")
+
+    def test_removed_csr_mode_rejected(self):
+        with pytest.raises(GeodesicError, match="unknown kernel mode"):
+            set_kernel_mode("csr")
+        assert kernel_mode() == "frontier"
 
 
 class TestKeyedGraphMemoization:

@@ -1,10 +1,13 @@
 """Unit tests for the MSDN facade."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from repro.geodesic.exact import ExactGeodesic
 from repro.geometry.ellipse import EllipseRegion
+from repro.geometry.primitives import BoundingBox
 from repro.msdn.msdn import MSDN
 from repro.storage.pages import PageManager
 from repro.storage.stats import IOStatistics
@@ -105,3 +108,149 @@ class TestStorage:
         before = stats.snapshot()
         msdn.touch_region(0.25, None, axes=(0,))
         assert stats.delta_since(before).physical_reads > 0
+
+
+class TestLowerBoundBelow:
+    """``lower_bound_below`` answers exactly ``lower_bound(...).value <
+    threshold`` — the ranking loop's dummy-lower-bound test."""
+
+    @staticmethod
+    def cases(msdn):
+        mesh = msdn.mesh
+        rng = np.random.default_rng(9)
+        bounds_xy = mesh.xy_bounds()
+        lo, hi = np.asarray(bounds_xy.lo), np.asarray(bounds_xy.hi)
+        roi = BoundingBox(tuple(lo + 0.15 * (hi - lo)), tuple(hi - 0.15 * (hi - lo)))
+        for _ in range(8):
+            a, b = (int(v) for v in rng.integers(0, mesh.num_vertices, size=2))
+            pa, pb = mesh.vertices[a], mesh.vertices[b]
+            # The ranking loop's corridor: the previous, coarser lb path.
+            coarse = msdn.lower_bound(pa, pb, msdn.resolutions[0])
+            corridor = msdn.corridor_from_path(coarse.path_keys, coarse.resolution)
+            for res in msdn.resolutions:
+                for region in (None, roi):
+                    for corr in (None, corridor):
+                        yield pa, pb, res, region, corr
+
+    def test_matches_the_value_comparison(self, msdn):
+        from repro.geodesic.csr import use_reference_kernels
+
+        for pa, pb, res, region, corr in self.cases(msdn):
+            value = msdn.lower_bound(pa, pb, res, roi=region, corridor=corr).value
+            for threshold in (
+                value, np.nextafter(value, np.inf), 0.5 * value, 3.0 * value,
+            ):
+                want = value < threshold
+                got = msdn.lower_bound_below(
+                    pa, pb, res, threshold, roi=region, corridor=corr
+                )
+                assert got == want
+                with use_reference_kernels():
+                    assert msdn.lower_bound_below(
+                        pa, pb, res, threshold, roi=region, corridor=corr
+                    ) == want
+
+    def test_loose_threshold_is_decided_without_the_dp(self, monkeypatch, msdn):
+        from repro.msdn import msdn as msdn_module
+
+        dp_runs = []
+        inner = msdn_module.lower_bound_via_planes_arrays
+
+        def counted(*args, **kwargs):
+            dp_runs.append(1)
+            return inner(*args, **kwargs)
+
+        cases = list(self.cases(msdn))
+        values = [
+            msdn.lower_bound(pa, pb, res, roi=region, corridor=corr).value
+            for pa, pb, res, region, corr in cases
+        ]
+        monkeypatch.setattr(msdn_module, "lower_bound_via_planes_arrays", counted)
+        for (pa, pb, res, region, corr), value in zip(cases, values):
+            assert msdn.lower_bound_below(
+                pa, pb, res, 3.0 * value + 1.0, roi=region, corridor=corr
+            )
+        assert not dp_runs
+
+
+class TestHopCache:
+    """The hop cache keeps unmasked plane pairs only, under the
+    module's byte budget, and never changes a bound."""
+
+    def test_over_budget_matrix_is_not_cached(self, monkeypatch, msdn):
+        from repro.msdn import msdn as msdn_module
+
+        monkeypatch.setattr(msdn_module, "HOP_CACHE_BYTES", 1)
+        fresh = MSDN(msdn.mesh)
+        pa = msdn.mesh.vertices[3]
+        pb = msdn.mesh.vertices[msdn.mesh.num_vertices - 5]
+        first = fresh.lower_bound(pa, pb, 1.0)
+        assert fresh._hop_cache.nbytes == 0
+        second = fresh.lower_bound(pa, pb, 1.0)
+        assert (first.value, first.path_keys) == (second.value, second.path_keys)
+
+    def test_bytes_gauge_totals_every_cache(self, obs_context, msdn):
+        from repro.msdn.msdn import hop_cache_bytes
+
+        mesh = msdn.mesh
+        first, second = MSDN(mesh), MSDN(mesh)
+        gc.collect()
+        before = hop_cache_bytes()
+        pa = mesh.vertices[3]
+        pb = mesh.vertices[mesh.num_vertices - 5]
+        first.lower_bound(pa, pb, 1.0)
+        second.lower_bound(pa, pb, 0.5)
+        gauge = obs_context.registry.collect()["msdn.hop_cache.bytes"]["value"]
+        assert first._hop_cache.nbytes > 0 and second._hop_cache.nbytes > 0
+        assert gauge == (
+            before + first._hop_cache.nbytes + second._hop_cache.nbytes
+        )
+
+    def test_bounds_match_reference_dp_under_tiny_budget(
+        self, monkeypatch, msdn, obs_context
+    ):
+        from repro.geodesic.csr import use_reference_kernels
+        from repro.msdn import msdn as msdn_module
+        from repro.msdn.msdn import hop_cache_bytes
+
+        mesh = msdn.mesh
+        rng = np.random.default_rng(7)
+        pairs = [
+            tuple(int(v) for v in rng.integers(0, mesh.num_vertices, size=2))
+            for _ in range(12)
+        ]
+        # A central box masks most planes' chunks (the common case);
+        # roi=None keeps whole planes (the cached case).
+        bounds_xy = mesh.xy_bounds()
+        lo, hi = np.asarray(bounds_xy.lo), np.asarray(bounds_xy.hi)
+        roi = BoundingBox(tuple(lo + 0.25 * (hi - lo)), tuple(hi - 0.25 * (hi - lo)))
+
+        def bounds(m):
+            out = []
+            for res in m.resolutions:
+                for a, b in pairs:
+                    for region in (None, roi):
+                        r = m.lower_bound(
+                            mesh.vertices[a], mesh.vertices[b], res, roi=region
+                        )
+                        out.append((r.value, tuple(r.path_keys), r.chunks_used))
+            return out
+
+        with use_reference_kernels():
+            want = bounds(MSDN(mesh))
+        roomy = MSDN(mesh)
+        assert bounds(roomy) == want
+        sizes = [hop.nbytes for hop in roomy._hop_cache._entries.values()]
+        assert len(sizes) > 2
+        # Room for the two largest matrices only: the rest must evict.
+        budget = sum(sorted(sizes)[-2:])
+        monkeypatch.setattr(msdn_module, "HOP_CACHE_BYTES", budget)
+        obs_context.registry.reset()
+        tiny = MSDN(mesh)
+        assert bounds(tiny) == want
+        assert 0 < tiny._hop_cache.nbytes <= budget
+        assert len(tiny._hop_cache._entries) < len(sizes)
+        counters = obs_context.registry.collect()
+        assert counters["msdn.hop_cache.evictions"]["value"] > 0
+        assert counters["msdn.hop_cache.misses"]["value"] > 0
+        assert counters["msdn.hop_cache.bytes"]["value"] == hop_cache_bytes()

@@ -6,7 +6,14 @@ import pytest
 from repro.errors import GeometryError
 from repro.geometry.polyline import Polyline
 from repro.geometry.primitives import BoundingBox
-from repro.msdn.sdn import SdnChunk, build_sdn_chunks, lower_bound_via_planes
+from repro.msdn.sdn import (
+    SdnChunk,
+    _boxes_to_boxes,
+    build_sdn_chunks,
+    greedy_chain_length,
+    lower_bound_via_planes,
+    lower_bound_via_planes_arrays,
+)
 
 
 def make_line(y: float, n: int = 9, z: float = 0.0) -> Polyline:
@@ -104,3 +111,114 @@ class TestLowerBoundDP:
         ]
         _lb, path = lower_bound_via_planes(a, b, layers)
         assert len(path) == 3
+
+
+def _broadcast_boxes_to_boxes(lo1, hi1, lo2, hi2):
+    """The (m1, m2, 3)-temporary formula the per-axis kernel replaced."""
+    gap = np.maximum(lo2[np.newaxis, :, :] - hi1[:, np.newaxis, :], 0.0)
+    gap = np.maximum(gap, lo1[:, np.newaxis, :] - hi2[np.newaxis, :, :])
+    return np.sqrt(np.sum(gap * gap, axis=2))
+
+
+def _random_family(rng, m, scale, extent):
+    centre = rng.normal(size=(m, 3)) * scale
+    half = np.abs(rng.normal(size=(m, 3))) * extent
+    return centre - half, centre + half
+
+
+class TestHopKernel:
+    """``_boxes_to_boxes`` accumulates per-axis gaps; its bytes must
+    equal the broadcast formula on every box family the DP sees."""
+
+    @staticmethod
+    def assert_same_bytes(lo1, hi1, lo2, hi2):
+        got = _boxes_to_boxes(lo1, hi1, lo2, hi2)
+        want = _broadcast_boxes_to_boxes(lo1, hi1, lo2, hi2)
+        assert got.shape == want.shape == (lo1.shape[0], lo2.shape[0])
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(60, 80), (360, 360), (7, 3)])
+    def test_random_families(self, shape):
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+        for scale in (0.01, 1.0, 350.0):
+            lo1, hi1 = _random_family(rng, shape[0], scale, 0.3 * scale)
+            lo2, hi2 = _random_family(rng, shape[1], scale, 0.3 * scale)
+            self.assert_same_bytes(lo1, hi1, lo2 + 0.5 * scale, hi2 + 0.5 * scale)
+
+    def test_touching_boxes(self):
+        # Each lower box starts exactly where an upper box ends on one
+        # axis, so that axis contributes an exact zero gap.
+        rng = np.random.default_rng(1)
+        lo1, hi1 = _random_family(rng, 40, 5.0, 1.0)
+        lo2 = hi1.copy()
+        hi2 = lo2 + np.abs(rng.normal(size=lo2.shape))
+        self.assert_same_bytes(lo1, hi1, lo2, hi2)
+        assert np.all(np.diag(_boxes_to_boxes(lo1, hi1, lo2, hi2)) == 0.0)
+
+    def test_overlapping_boxes(self):
+        rng = np.random.default_rng(2)
+        lo1, hi1 = _random_family(rng, 30, 1.0, 4.0)
+        lo2, hi2 = _random_family(rng, 50, 1.0, 4.0)
+        self.assert_same_bytes(lo1, hi1, lo2, hi2)
+
+    def test_zero_extent_boxes(self):
+        # Degenerate boxes (points, and boxes flat on one axis — the
+        # shape of chunks on an axis-aligned crossing plane).
+        rng = np.random.default_rng(3)
+        points1 = rng.normal(size=(25, 3)) * 10.0
+        points2 = rng.normal(size=(35, 3)) * 10.0
+        self.assert_same_bytes(points1, points1, points2, points2)
+        lo1, hi1 = _random_family(rng, 25, 10.0, 2.0)
+        lo1[:, 0] = hi1[:, 0] = 3.0
+        lo2, hi2 = _random_family(rng, 35, 10.0, 2.0)
+        lo2[:, 0] = hi2[:, 0] = 4.0
+        self.assert_same_bytes(lo1, hi1, lo2, hi2)
+
+    def test_single_row_families(self):
+        rng = np.random.default_rng(4)
+        lo1, hi1 = _random_family(rng, 1, 10.0, 1.0)
+        lo2, hi2 = _random_family(rng, 64, 10.0, 1.0)
+        self.assert_same_bytes(lo1, hi1, lo2, hi2)
+        self.assert_same_bytes(lo2, hi2, lo1, hi1)
+        self.assert_same_bytes(lo1, hi1, lo1 + 2.0, hi1 + 2.0)
+
+
+def _plane_layers(rng, sizes):
+    """Box families on successive planes x = 1, 2, ... (flat on x,
+    like crossing-line chunks), scattered in y and z."""
+    layers = []
+    for plane, m in enumerate(sizes, start=1):
+        lo, hi = _random_family(rng, m, 5.0, 1.0)
+        lo[:, 0] = hi[:, 0] = float(plane)
+        layers.append((lo, hi))
+    return layers
+
+
+class TestGreedyChain:
+    """``greedy_chain_length`` sums one chain in the DP's float order,
+    so it can never undercut the DP minimum."""
+
+    def test_never_below_the_dp(self):
+        rng = np.random.default_rng(21)
+        for _ in range(60):
+            sizes = rng.integers(1, 25, size=int(rng.integers(1, 7)))
+            layers = _plane_layers(rng, sizes)
+            pa = np.array([0.0, *rng.normal(size=2) * 5.0])
+            pb = np.array([len(sizes) + 1.0, *rng.normal(size=2) * 5.0])
+            value, _ = lower_bound_via_planes_arrays(pa, pb, layers)
+            assert greedy_chain_length(pa, pb, layers) >= value
+
+    def test_single_chain_equals_the_dp_bitwise(self):
+        # One box per layer leaves one chain: same sums, same bits.
+        rng = np.random.default_rng(22)
+        for _ in range(20):
+            layers = _plane_layers(rng, [1] * int(rng.integers(1, 8)))
+            pa = np.array([0.0, 0.3, -0.2])
+            pb = np.array([len(layers) + 1.0, 4.0, 1.5])
+            value, _ = lower_bound_via_planes_arrays(pa, pb, layers)
+            assert greedy_chain_length(pa, pb, layers) == value
+
+    def test_no_layers_gives_euclid(self):
+        pa, pb = np.zeros(3), np.array([3.0, 4.0, 0.0])
+        assert greedy_chain_length(pa, pb, []) == 5.0

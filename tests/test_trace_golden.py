@@ -47,14 +47,14 @@ def _golden_result():
     return engine.query(qv, 3, step_length=2)
 
 
-@pytest.fixture(scope="module", params=["csr", "reference"])
+@pytest.fixture(scope="module", params=["frontier", "reference"])
 def kernel(request):
     """Every golden must reproduce under BOTH geodesic kernel modes —
-    the flat CSR kernels are a pure performance change (PR 4), so the
+    the default array data path is a pure performance change, so the
     goldens hold whichever kernels run."""
     set_kernel_mode(request.param)
     yield request.param
-    set_kernel_mode("csr")
+    set_kernel_mode("frontier")
 
 
 @pytest.fixture(scope="module")
